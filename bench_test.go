@@ -11,10 +11,12 @@ import (
 	"testing"
 
 	"graph2par/internal/auggraph"
+	"graph2par/internal/cast"
 	"graph2par/internal/cparse"
 	"graph2par/internal/dataset"
 	"graph2par/internal/experiments"
 	"graph2par/internal/tools"
+	"graph2par/internal/tools/discopop"
 	"graph2par/internal/train"
 )
 
@@ -332,5 +334,50 @@ func BenchmarkToolAnalysis(b *testing.B) {
 				})
 			}
 		})
+	}
+}
+
+// discopopUnits parses the runnable corpus into (file, loops) pairs.
+func discopopUnits(b *testing.B) (files []*cast.File, loops [][]cast.Stmt) {
+	for name, src := range runnableCorpus(b) {
+		file, err := cparse.ParseFile(src)
+		if err != nil {
+			b.Fatalf("%s: %v", name, err)
+		}
+		_, ls := collectLoops(file)
+		files, loops = append(files, file), append(loops, ls)
+	}
+	return files, loops
+}
+
+// BenchmarkStageDiscoPoP is the DiscoPoP row of the per-layer ledger: one
+// op profiles every loop of the runnable corpus the way the engine does,
+// with one interpreted run of main per translation unit.
+func BenchmarkStageDiscoPoP(b *testing.B) {
+	files, loops := discopopUnits(b)
+	dp := discopop.New()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k, f := range files {
+			dp.AnalyzeFile(f, loops[k])
+		}
+	}
+}
+
+// BenchmarkStageDiscoPoPPerLoop profiles the same loops with one run of
+// main per loop, as Analyze does for a lone sample. Its ratio to
+// BenchmarkStageDiscoPoP is what sharing the run saves; CI gates it.
+func BenchmarkStageDiscoPoPPerLoop(b *testing.B) {
+	files, loops := discopopUnits(b)
+	dp := discopop.New()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k, f := range files {
+			for _, l := range loops[k] {
+				dp.Analyze(tools.Sample{Loop: l, File: f, Compilable: true, Runnable: true})
+			}
+		}
 	}
 }

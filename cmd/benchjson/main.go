@@ -20,6 +20,12 @@
 // first baseline. The ratio gate compares two benchmarks of the same
 // run (machine-independent) and exits nonzero when
 // ns/op(numerator) > ns/op(denominator) × max-ratio.
+//
+// Every summary records the machine shape it was measured on: nproc (the
+// CPUs benchjson may run on) and the GOMAXPROCS the benchmarks ran with.
+// The baseline gates refuse a baseline recorded on a different shape —
+// such a comparison measures the machine, not the change. A baseline
+// written before the shape was recorded is compared with a warning.
 package main
 
 import (
@@ -30,6 +36,7 @@ import (
 	"io"
 	"os"
 	"regexp"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -57,19 +64,27 @@ func (r Result) memPresent() bool {
 
 // Summary is the JSON document benchjson reads and writes.
 type Summary struct {
-	Goos       string            `json:"goos,omitempty"`
-	Goarch     string            `json:"goarch,omitempty"`
-	Pkg        string            `json:"pkg,omitempty"`
-	CPU        string            `json:"cpu,omitempty"`
+	Goos   string `json:"goos,omitempty"`
+	Goarch string `json:"goarch,omitempty"`
+	Pkg    string `json:"pkg,omitempty"`
+	CPU    string `json:"cpu,omitempty"`
+	// Nproc is the number of CPUs the machine offered, and GOMAXPROCS the
+	// parallelism the benchmarks ran with (the -N suffix `go test`
+	// appends to benchmark names; no suffix means 1). Both are 0 in
+	// summaries written before they were recorded.
+	Nproc      int               `json:"nproc,omitempty"`
+	GOMAXPROCS int               `json:"gomaxprocs,omitempty"`
 	Benchmarks map[string]Result `json:"benchmarks"`
 }
 
 // benchLine matches e.g. "BenchmarkAnalyzeFilesSerial-8   3   123456 ns/op"
 // with optional -benchmem columns ("456 B/op   7 allocs/op"); the -8
 // GOMAXPROCS suffix is stripped so keys are stable across runners.
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+([0-9.]+) ns/op(?:\s+([0-9.]+) B/op\s+([0-9.]+) allocs/op)?`)
+var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-(\d+))?\s+(\d+)\s+([0-9.]+) ns/op(?:\s+([0-9.]+) B/op\s+([0-9.]+) allocs/op)?`)
 
-// parse reads `go test -bench` text output into a Summary.
+// parse reads `go test -bench` text output into a Summary. GOMAXPROCS is
+// the largest benchmark-name suffix (a `-cpu` list runs several); Nproc
+// is left for the caller, which knows the machine.
 func parse(r io.Reader) (*Summary, error) {
 	s := &Summary{Benchmarks: map[string]Result{}}
 	sc := bufio.NewScanner(r)
@@ -90,20 +105,28 @@ func parse(r io.Reader) (*Summary, error) {
 			if m == nil {
 				continue
 			}
-			n, err := strconv.Atoi(m[2])
+			var err error
+			procs := 1
+			if m[2] != "" {
+				if procs, err = strconv.Atoi(m[2]); err != nil {
+					return nil, fmt.Errorf("benchjson: bad GOMAXPROCS suffix in %q: %v", line, err)
+				}
+			}
+			s.GOMAXPROCS = max(s.GOMAXPROCS, procs)
+			n, err := strconv.Atoi(m[3])
 			if err != nil {
 				return nil, fmt.Errorf("benchjson: bad iteration count in %q: %v", line, err)
 			}
-			ns, err := strconv.ParseFloat(m[3], 64)
+			ns, err := strconv.ParseFloat(m[4], 64)
 			if err != nil {
 				return nil, fmt.Errorf("benchjson: bad ns/op in %q: %v", line, err)
 			}
 			r := Result{N: n, NsPerOp: ns}
-			if m[4] != "" {
-				if r.BPerOp, err = strconv.ParseFloat(m[4], 64); err != nil {
+			if m[5] != "" {
+				if r.BPerOp, err = strconv.ParseFloat(m[5], 64); err != nil {
 					return nil, fmt.Errorf("benchjson: bad B/op in %q: %v", line, err)
 				}
-				if r.AllocsPerOp, err = strconv.ParseFloat(m[5], 64); err != nil {
+				if r.AllocsPerOp, err = strconv.ParseFloat(m[6], 64); err != nil {
 					return nil, fmt.Errorf("benchjson: bad allocs/op in %q: %v", line, err)
 				}
 				r.HasMem = true
@@ -112,6 +135,19 @@ func parse(r io.Reader) (*Summary, error) {
 		}
 	}
 	return s, sc.Err()
+}
+
+// sameShape checks that current and baseline were recorded on the same
+// core count. A baseline without a recorded shape passes with a warning.
+func sameShape(current, baseline *Summary) (string, error) {
+	if baseline.Nproc == 0 || baseline.GOMAXPROCS == 0 {
+		return "benchjson: warning: baseline records no core count; comparing across a possibly different machine shape", nil
+	}
+	if current.Nproc != baseline.Nproc || current.GOMAXPROCS != baseline.GOMAXPROCS {
+		return "", fmt.Errorf("benchjson: refusing to compare a run on nproc=%d GOMAXPROCS=%d with a baseline recorded on nproc=%d GOMAXPROCS=%d",
+			current.Nproc, current.GOMAXPROCS, baseline.Nproc, baseline.GOMAXPROCS)
+	}
+	return "", nil
 }
 
 // gate compares the gated benchmark against the baseline; it returns an
@@ -282,6 +318,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchjson: no benchmark lines found in input")
 		os.Exit(1)
 	}
+	summary.Nproc = runtime.NumCPU()
 
 	names := make([]string, 0, len(summary.Benchmarks))
 	for name := range summary.Benchmarks {
@@ -303,16 +340,26 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	if *gateName != "" {
+	var baseline *Summary
+	if *gateName != "" || len(allocGates) > 0 {
 		if *baselinePath == "" {
-			fmt.Fprintln(os.Stderr, "benchjson: -gate requires -baseline")
+			fmt.Fprintln(os.Stderr, "benchjson: -gate and -gate-allocs require -baseline")
 			os.Exit(1)
 		}
-		baseline, err := load(*baselinePath)
-		if err != nil {
+		if baseline, err = load(*baselinePath); err != nil {
 			fmt.Fprintln(os.Stderr, "benchjson:", err)
 			os.Exit(1)
 		}
+		warning, err := sameShape(summary, baseline)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+		if warning != "" {
+			fmt.Println(warning)
+		}
+	}
+	if *gateName != "" {
 		verdict, err := gate(summary, baseline, *gateName, *maxRegress)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -320,24 +367,13 @@ func main() {
 		}
 		fmt.Println(verdict)
 	}
-	if len(allocGates) > 0 {
-		if *baselinePath == "" {
-			fmt.Fprintln(os.Stderr, "benchjson: -gate-allocs requires -baseline")
-			os.Exit(1)
-		}
-		baseline, err := load(*baselinePath)
+	for _, name := range allocGates {
+		verdict, err := gateAllocs(summary, baseline, name, *maxAllocsRegress)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchjson:", err)
+			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		for _, name := range allocGates {
-			verdict, err := gateAllocs(summary, baseline, name, *maxAllocsRegress)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			fmt.Println(verdict)
-		}
+		fmt.Println(verdict)
 	}
 	for _, spec := range ratioSpecs {
 		verdict, err := gateRatio(summary, spec, *maxRatio)

@@ -258,3 +258,42 @@ func TestZeroAllocsIsData(t *testing.T) {
 		t.Error("nonzero/0 allocs ratio should fail any bound")
 	}
 }
+
+func TestParseRecordsGOMAXPROCS(t *testing.T) {
+	s, err := parse(strings.NewReader(sampleOutput))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The largest suffix wins; an unsuffixed row ran at GOMAXPROCS 1.
+	if s.GOMAXPROCS != 8 {
+		t.Errorf("GOMAXPROCS = %d, want 8", s.GOMAXPROCS)
+	}
+	s, err = parse(strings.NewReader("BenchmarkX-2   3   100 ns/op\nBenchmarkY-2   3   200 ns/op\n"))
+	if err != nil || s.GOMAXPROCS != 2 {
+		t.Errorf("GOMAXPROCS = %d (%v), want 2", s.GOMAXPROCS, err)
+	}
+	s, err = parse(strings.NewReader("BenchmarkX   3   100 ns/op\n"))
+	if err != nil || s.GOMAXPROCS != 1 {
+		t.Errorf("unsuffixed run: GOMAXPROCS = %d (%v), want 1", s.GOMAXPROCS, err)
+	}
+	if s.Nproc != 0 {
+		t.Errorf("parse must leave Nproc to the caller, got %d", s.Nproc)
+	}
+}
+
+func TestSameShape(t *testing.T) {
+	shape := func(nproc, procs int) *Summary { return &Summary{Nproc: nproc, GOMAXPROCS: procs} }
+	if w, err := sameShape(shape(2, 2), shape(2, 2)); err != nil || w != "" {
+		t.Errorf("same shape: warning %q, err %v", w, err)
+	}
+	for _, base := range []*Summary{shape(4, 4), shape(2, 1), shape(1, 2)} {
+		if _, err := sameShape(shape(2, 2), base); err == nil {
+			t.Errorf("nproc=2 GOMAXPROCS=2 vs baseline %+v: want a refusal", base)
+		}
+	}
+	// A legacy baseline without the fields is a warning, not a failure.
+	w, err := sameShape(shape(2, 2), &Summary{})
+	if err != nil || !strings.Contains(w, "warning") {
+		t.Errorf("legacy baseline: warning %q, err %v", w, err)
+	}
+}

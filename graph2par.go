@@ -26,6 +26,7 @@ import (
 	"math"
 	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 
 	"graph2par/internal/auggraph"
@@ -117,6 +118,7 @@ type Engine struct {
 	vocab   *auggraph.Vocab
 	gopts   auggraph.Options
 	tools   []tools.Tool
+	dp      *discopop.DiscoPoP
 	workers int
 	batch   int
 
@@ -168,6 +170,10 @@ type Engine struct {
 	// copies of an Engine (the benchmarks copy one to retune knobs)
 	// share one coherent pool instead of aliasing a mutex and free list.
 	fe *frontend.Pool
+
+	// dpRuns counts DiscoPoP profiling runs (one per file whose loops miss
+	// the cache); held by pointer for the same reason vstats is.
+	dpRuns *atomic.Int64
 }
 
 // ToolVerdict is one comparator tool's opinion on a loop.
@@ -214,7 +220,9 @@ type LoopReport struct {
 // model on a generated OMP_Serial corpus.
 func NewEngine(cfg EngineConfig) (*Engine, error) {
 	e := &Engine{
-		tools:   []tools.Tool{autopar.New(), pluto.New(), discopop.New()},
+		tools:   []tools.Tool{autopar.New(), pluto.New()},
+		dp:      discopop.New(),
+		dpRuns:  &atomic.Int64{},
 		workers: parallel.Workers(cfg.Workers),
 		fe:      &frontend.Pool{},
 		verify:  cfg.Verify,
@@ -660,6 +668,26 @@ func (e *Engine) RewriteSourceContext(ctx context.Context, src string) (*Rewrite
 	return &RewriteResult{Output: out, Changed: changed, Reports: reports}, nil
 }
 
+// fileCtx is the per-file context every loop job of one translation unit
+// shares: the defined-function map the aug-AST build reads, the file's
+// loops, and the file's DiscoPoP profile, computed by the first of its
+// loops that misses the cache.
+type fileCtx struct {
+	file  *cast.File // nil for a bare loop snippet
+	funcs map[string]*cast.FuncDecl
+	loops []cast.Stmt
+	key   string // content key of the file ("" when caching is off)
+
+	dpOnce sync.Once
+	dp     []tools.Verdict // DiscoPoP verdict per loop, in loops order
+}
+
+// newFileCtx builds the per-file context of a parsed file.
+func newFileCtx(file *cast.File, key string) *fileCtx {
+	funcs, loops := collectLoops(file)
+	return &fileCtx{file: file, funcs: funcs, loops: loops, key: key}
+}
+
 // collectLoops harvests a parsed file's loops and its defined-function
 // map — the shared front half of AnalyzeSource and AnalyzeFiles.
 func collectLoops(file *cast.File) (map[string]*cast.FuncDecl, []cast.Stmt) {
@@ -682,25 +710,28 @@ func collectLoops(file *cast.File) (map[string]*cast.FuncDecl, []cast.Stmt) {
 	return funcs, loops
 }
 
+// jobs returns one loop job per loop of the file.
+func (fc *fileCtx) jobs() []loopJob {
+	jobs := make([]loopJob, len(fc.loops))
+	for i, loop := range fc.loops {
+		jobs[i] = loopJob{loop: loop, idx: i, fc: fc}
+	}
+	return jobs
+}
+
 // analyzeFileLoops fans loop analysis of one parsed file out over the
 // worker pool, preserving line-sorted output.
 func (e *Engine) analyzeFileLoops(ctx context.Context, file *cast.File, fileKey string, ss *scratchSet) []LoopReport {
-	funcs, loops := collectLoops(file)
-	jobs := make([]loopJob, len(loops))
-	for i, loop := range loops {
-		jobs[i] = loopJob{loop: loop, file: file, funcs: funcs, fileKey: fileKey}
-	}
-	reports := e.analyzeJobs(ctx, jobs, ss)
+	reports := e.analyzeJobs(ctx, newFileCtx(file, fileKey).jobs(), ss)
 	sort.SliceStable(reports, func(i, j int) bool { return reports[i].Line < reports[j].Line })
 	return reports
 }
 
-// loopJob bundles one loop with the file context its analysis needs.
+// loopJob is one loop, at index idx of its file context's loops.
 type loopJob struct {
-	loop    cast.Stmt
-	file    *cast.File
-	funcs   map[string]*cast.FuncDecl
-	fileKey string
+	loop cast.Stmt
+	idx  int
+	fc   *fileCtx
 }
 
 // analyzeJobs analyzes jobs[i] into slot i of the result, spreading work
@@ -751,7 +782,7 @@ func (e *Engine) analyzeJobs(ctx context.Context, jobs []loopJob, ss *scratchSet
 			return
 		}
 		if e.cache != nil {
-			preps[i].key = e.loopCacheKey(jobs[i].loop, jobs[i].fileKey)
+			preps[i].key = e.loopCacheKey(jobs[i].loop, jobs[i].fc.key)
 			if r, ok := e.cache.Get(preps[i].key); ok {
 				reports[i] = cloneReport(r)
 				preps[i].hit = true
@@ -898,13 +929,12 @@ func (e *Engine) AnalyzeFilesContext(ctx context.Context, sources map[string]str
 		if file == nil {
 			continue
 		}
-		funcs, loops := collectLoops(file)
 		fileKey := ""
 		if e.cache != nil {
 			fileKey = sourceCacheKey(sources[names[i]])
 		}
-		for _, loop := range loops {
-			jobs = append(jobs, loopJob{loop: loop, file: file, funcs: funcs, fileKey: fileKey})
+		for _, job := range newFileCtx(file, fileKey).jobs() {
+			jobs = append(jobs, job)
 			jobFile = append(jobFile, i)
 		}
 	}
@@ -960,12 +990,12 @@ func (e *Engine) AnalyzeLoop(loopSrc string) (*LoopReport, error) {
 	default:
 		return nil, fmt.Errorf("graph2par: not a loop statement")
 	}
-	r := e.analyzeLoop(loopJob{loop: st, fileKey: snippetCacheKey}, scr)
+	r := e.analyzeLoop(loopJob{loop: st, fc: &fileCtx{key: snippetCacheKey}}, scr)
 	return &r, nil
 }
 
 // analyzeLoop runs the full per-loop pipeline for one job, consulting the
-// analysis cache first when one is configured. job.fileKey identifies the
+// analysis cache first when one is configured. job.fc.key identifies the
 // enclosing translation unit's content ("" only when caching is off);
 // cached results are byte-for-byte identical to a fresh computation
 // because the key covers every input the pipeline reads: the model
@@ -975,7 +1005,7 @@ func (e *Engine) AnalyzeLoop(loopSrc string) (*LoopReport, error) {
 func (e *Engine) analyzeLoop(job loopJob, scr *frontend.Scratch) LoopReport {
 	var key string
 	if e.cache != nil {
-		key = e.loopCacheKey(job.loop, job.fileKey)
+		key = e.loopCacheKey(job.loop, job.fc.key)
 		if r, ok := e.cache.Get(key); ok {
 			return cloneReport(r)
 		}
@@ -994,7 +1024,7 @@ func (e *Engine) analyzeLoop(job loopJob, scr *frontend.Scratch) LoopReport {
 // released.
 func (e *Engine) buildGraph(job loopJob, scr *frontend.Scratch) (*auggraph.Graph, *auggraph.Encoded) {
 	gopts := e.gopts
-	gopts.Funcs = job.funcs
+	gopts.Funcs = job.fc.funcs
 	g := scr.Graph.Build(job.loop, gopts)
 	return g, scr.Graph.Encode(e.vocab, g)
 }
@@ -1003,7 +1033,7 @@ func (e *Engine) buildGraph(job loopJob, scr *frontend.Scratch) (*auggraph.Graph
 // cross-checks, graph rendering, and the cache fill. key is the loop's
 // cache key ("" when caching is off).
 func (e *Engine) finishLoop(job loopJob, g *auggraph.Graph, key string, pred int, probs []float64) LoopReport {
-	loop, file := job.loop, job.file
+	loop, file := job.loop, job.fc.file
 	report := LoopReport{
 		Line:       loop.Pos().Line,
 		Source:     cast.Print(loop),
@@ -1038,13 +1068,9 @@ func (e *Engine) finishLoop(job loopJob, g *auggraph.Graph, key string, pred int
 			Loop: loop, File: file,
 			Compilable: file != nil, Runnable: file != nil,
 		})
-		report.Tools = append(report.Tools, ToolVerdict{
-			Tool:        tool.Name(),
-			Processable: v.Processable,
-			Parallel:    v.Processable && v.Parallel,
-			Reason:      v.Reason,
-		})
+		report.Tools = append(report.Tools, toolVerdict(tool.Name(), v))
 	}
+	report.Tools = append(report.Tools, toolVerdict(e.dp.Name(), e.discopopVerdict(job)))
 	if e.cache != nil {
 		// Store a detached copy: the caller owns the returned report and
 		// may mutate its slices.
@@ -1056,6 +1082,32 @@ func (e *Engine) finishLoop(job loopJob, g *auggraph.Graph, key string, pred int
 		}
 	}
 	return report
+}
+
+// toolVerdict is the report form of one comparator's verdict.
+func toolVerdict(name string, v tools.Verdict) ToolVerdict {
+	return ToolVerdict{
+		Tool:        name,
+		Processable: v.Processable,
+		Parallel:    v.Processable && v.Parallel,
+		Reason:      v.Reason,
+	}
+}
+
+// discopopVerdict returns DiscoPoP's verdict on the job's loop from its
+// file's profile: one interpreted run of the whole translation unit,
+// shared by every loop of the file and made by the first loop that needs
+// it, so a file whose loops all hit the cache is never interpreted.
+func (e *Engine) discopopVerdict(job loopJob) tools.Verdict {
+	fc := job.fc
+	if fc.file == nil {
+		return e.dp.Analyze(tools.Sample{Loop: job.loop})
+	}
+	fc.dpOnce.Do(func() {
+		e.dpRuns.Add(1)
+		fc.dp = e.dp.AnalyzeFile(fc.file, fc.loops)
+	})
+	return fc.dp[job.idx]
 }
 
 // classifyCategories derives pragma categories structurally (reduction

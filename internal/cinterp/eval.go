@@ -25,7 +25,7 @@ func (in *Interp) load(lv lvalue) Value {
 	if lv.cell != nil {
 		return lv.cell.val
 	}
-	return lv.arr.data[lv.elem]
+	return lv.arr.get(lv.elem)
 }
 
 func (in *Interp) store(lv lvalue, v Value) {
@@ -34,7 +34,7 @@ func (in *Interp) store(lv lvalue, v Value) {
 		lv.cell.val = v
 		return
 	}
-	lv.arr.data[lv.elem] = v
+	lv.arr.set(lv.elem, v)
 }
 
 func (in *Interp) evalLValue(sc *scope, e cast.Expr) (lvalue, error) {
@@ -308,7 +308,7 @@ func (lv lvalue) peek() Value {
 	if lv.cell != nil {
 		return lv.cell.val
 	}
-	return lv.arr.data[lv.elem]
+	return lv.arr.get(lv.elem)
 }
 
 func (in *Interp) evalCall(sc *scope, x *cast.Call) (Value, error) {

@@ -36,10 +36,97 @@ const (
 // IsArrayElem reports whether the address names an array element.
 func (a Addr) IsArrayElem() bool { return a.Elem >= 0 }
 
-// TraceFunc receives every access made while the instrumented loop is
-// executing. iter is the 0-based iteration index of that loop; write
-// distinguishes stores from loads.
+// TraceFunc receives every access made while a traced loop is executing.
+// iter is the 0-based iteration index of that loop; write distinguishes
+// stores from loads.
 type TraceFunc func(addr Addr, write bool, iter int)
+
+// LoopTrace instruments one for loop of the interpreted file. Create it
+// with Interp.TraceLoop and configure it before Run. Any number of loops
+// can be traced in one run: an access made while several traced loops are
+// inside their bodies (nested loops, or a loop in a function called from
+// another's body) is reported to each of them, tagged with that loop's own
+// iteration index. Tracing only observes: step counts, object IDs and
+// errors are the same whichever loops are traced.
+type LoopTrace struct {
+	// Loop is the traced loop.
+	Loop *cast.For
+	// Trace receives the accesses made inside the loop's body and post
+	// expression, at any call depth.
+	Trace TraceFunc
+
+	// WatchNames asks the interpreter to resolve these variable names to
+	// trace addresses when the loop is first entered; results land in
+	// Watched. Names that do not resolve to a scalar or array are simply
+	// absent.
+	WatchNames []string
+	Watched    map[string]Addr
+
+	// CaptureNames asks for a snapshot of these variables' values when the
+	// loop exits (on any path); results land in Captured. Names that do
+	// not resolve at the loop's scope are simply absent.
+	CaptureNames []string
+	Captured     map[string]Capture
+
+	// Reverse executes the loop's iterations back to front: the
+	// induction-variable sequence is simulated first (condition and post
+	// expression only), then the bodies run last iteration first. This is
+	// the rewrite validator's parallel-order probe — any cross-iteration
+	// dependence the serial order hid changes the observable state.
+	// ReverseIndVar names the induction variable; it must resolve to a
+	// scalar at the loop's scope.
+	Reverse       bool
+	ReverseIndVar string
+
+	inBody bool
+	iter   int
+}
+
+// TraceLoop adds loop to the run's set of traced loops and returns its
+// record. Each loop is traced at most once; a second call for the same
+// loop returns the existing record.
+func (in *Interp) TraceLoop(loop *cast.For) *LoopTrace {
+	if lt := in.loopTrace(loop); lt != nil {
+		return lt
+	}
+	lt := &LoopTrace{Loop: loop}
+	in.traced = append(in.traced, lt)
+	return lt
+}
+
+// loopTrace returns the record tracing f, or nil.
+func (in *Interp) loopTrace(f *cast.For) *LoopTrace {
+	for _, lt := range in.traced {
+		if lt.Loop == f {
+			return lt
+		}
+	}
+	return nil
+}
+
+// enterBody marks lt as executing iteration iter: accesses from now on are
+// reported to it.
+func (in *Interp) enterBody(lt *LoopTrace, iter int) {
+	lt.iter = iter
+	if !lt.inBody {
+		lt.inBody = true
+		in.active = append(in.active, lt)
+	}
+}
+
+// leaveBody stops reporting accesses to lt.
+func (in *Interp) leaveBody(lt *LoopTrace) {
+	if !lt.inBody {
+		return
+	}
+	lt.inBody = false
+	for k, a := range in.active {
+		if a == lt {
+			in.active = append(in.active[:k], in.active[k+1:]...)
+			return
+		}
+	}
+}
 
 // cell is a scalar storage location.
 type cell struct {
@@ -47,11 +134,56 @@ type cell struct {
 	val Value
 }
 
-// array is a (possibly multi-dimensional) dense array object.
+// Arrays store their cells in fixed-size pages, each allocated on the
+// first store into it: a program that declares a large array but touches
+// a few cells pays for those pages only.
+const (
+	pageShift = 10
+	pageSize  = 1 << pageShift
+	pageMask  = pageSize - 1
+)
+
+// array is a (possibly multi-dimensional) array object. A cell of a page
+// that was never stored to reads as zero, the array's zero value.
 type array struct {
-	id   int
-	dims []int64
-	data []Value
+	id    int
+	dims  []int64
+	n     int64
+	zero  Value
+	pages [][]Value
+}
+
+// get reads cell i.
+func (a *array) get(i int64) Value {
+	if p := a.pages[i>>pageShift]; p != nil {
+		return p[i&pageMask]
+	}
+	return a.zero
+}
+
+// set writes cell i, allocating its page on first use.
+func (a *array) set(i int64, v Value) {
+	k := i >> pageShift
+	p := a.pages[k]
+	if p == nil {
+		p = make([]Value, min(pageSize, a.n-k<<pageShift))
+		if a.zero != (Value{}) {
+			for j := range p {
+				p[j] = a.zero
+			}
+		}
+		a.pages[k] = p
+	}
+	p[i&pageMask] = v
+}
+
+// values returns a dense copy of every cell.
+func (a *array) values() []Value {
+	out := make([]Value, a.n)
+	for i := range out {
+		out[i] = a.get(int64(i))
+	}
+	return out
 }
 
 func (a *array) flatten(idx []int64) (int64, error) {
@@ -105,38 +237,10 @@ type Interp struct {
 	MaxSteps int
 	steps    int
 
-	// Instrumentation: accesses inside TraceLoop (at any call depth) are
-	// reported to Trace with the loop's current iteration.
-	TraceLoop *cast.For
-	Trace     TraceFunc
-	inLoop    bool
-	iter      int
-	// IterCap, when >0, stops the instrumented loop after that many
-	// iterations (sampling, like a profiling run truncated early).
-	IterCap int
-
-	// WatchNames asks the interpreter to resolve these variable names to
-	// trace addresses when the instrumented loop is first entered; results
-	// land in Watched. Names that do not resolve to a scalar or array are
-	// simply absent.
-	WatchNames []string
-	Watched    map[string]Addr
-
-	// CaptureNames asks for a snapshot of these variables' values when the
-	// instrumented loop exits (on any path); results land in Captured.
-	// Names that do not resolve at the loop's scope are simply absent.
-	CaptureNames []string
-	Captured     map[string]Capture
-
-	// ReverseOrder executes the instrumented loop's iterations back to
-	// front: the induction-variable sequence is simulated first (condition
-	// and post expression only), then the bodies run last iteration first.
-	// This is the rewrite validator's parallel-order probe — any
-	// cross-iteration dependence the serial order hid changes the observable
-	// state. ReverseIndVar names the induction variable; it must resolve to
-	// a scalar at the loop's scope.
-	ReverseOrder  bool
-	ReverseIndVar string
+	// traced is the set of instrumented loops (see TraceLoop); active
+	// holds those currently inside their bodies, in entry order.
+	traced []*LoopTrace
+	active []*LoopTrace
 
 	nextID int
 }
@@ -199,7 +303,8 @@ func (in *Interp) newCell(v Value) *cell {
 	return &cell{id: in.nextID, val: v}
 }
 
-func (in *Interp) newArray(dims []int64) (*array, error) {
+// newArray allocates an array whose cells read as zero until stored to.
+func (in *Interp) newArray(dims []int64, zero Value) (*array, error) {
 	total := int64(1)
 	for _, d := range dims {
 		if d <= 0 {
@@ -211,7 +316,8 @@ func (in *Interp) newArray(dims []int64) (*array, error) {
 		}
 	}
 	in.nextID++
-	return &array{id: in.nextID, dims: dims, data: make([]Value, total)}, nil
+	pages := (total + pageSize - 1) >> pageShift
+	return &array{id: in.nextID, dims: dims, n: total, zero: zero, pages: make([][]Value, pages)}, nil
 }
 
 func (in *Interp) declare(sc *scope, d *cast.VarDecl) error {
@@ -230,15 +336,13 @@ func (in *Interp) declare(sc *scope, d *cast.VarDecl) error {
 			}
 			dims[i] = v.AsInt()
 		}
-		arr, err := in.newArray(dims)
+		zero := IntVal(0)
+		if typeIsFloat(d.Type) {
+			zero = FloatVal(0)
+		}
+		arr, err := in.newArray(dims, zero)
 		if err != nil {
 			return err
-		}
-		isFloat := typeIsFloat(d.Type)
-		for i := range arr.data {
-			if isFloat {
-				arr.data[i] = FloatVal(0)
-			}
 		}
 		if d.Init != nil {
 			lst, ok := d.Init.(*cast.InitList)
@@ -276,7 +380,7 @@ func (in *Interp) declare(sc *scope, d *cast.VarDecl) error {
 
 func (in *Interp) fillInit(sc *scope, arr *array, lst *cast.InitList) error {
 	flat := flattenInit(lst)
-	if int64(len(flat)) > int64(len(arr.data)) {
+	if int64(len(flat)) > arr.n {
 		return fmt.Errorf("too many initializers")
 	}
 	for i, e := range flat {
@@ -284,7 +388,7 @@ func (in *Interp) fillInit(sc *scope, arr *array, lst *cast.InitList) error {
 		if err != nil {
 			return err
 		}
-		arr.data[i] = v
+		arr.set(int64(i), v)
 	}
 	return nil
 }
@@ -319,9 +423,12 @@ func coerce(v Value, wantFloat bool) Value {
 	return v
 }
 
+// traceAccess reports an access to every traced loop inside its body.
 func (in *Interp) traceAccess(addr Addr, write bool) {
-	if in.inLoop && in.Trace != nil {
-		in.Trace(addr, write, in.iter)
+	for _, lt := range in.active {
+		if lt.Trace != nil {
+			lt.Trace(addr, write, lt.iter)
+		}
 	}
 }
 
@@ -473,27 +580,27 @@ func (in *Interp) execFor(sc *scope, f *cast.For, st *execState) error {
 			return err
 		}
 	}
-	isTraced := f == in.TraceLoop
-	if isTraced && in.WatchNames != nil && in.Watched == nil {
-		in.Watched = map[string]Addr{}
-		for _, name := range in.WatchNames {
+	lt := in.loopTrace(f)
+	if lt != nil && lt.WatchNames != nil && lt.Watched == nil {
+		lt.Watched = map[string]Addr{}
+		for _, name := range lt.WatchNames {
 			if b, ok := inner.lookup(name); ok {
 				if b.cell != nil {
-					in.Watched[name] = Addr{Obj: b.cell.id, Elem: ScalarElem}
+					lt.Watched[name] = Addr{Obj: b.cell.id, Elem: ScalarElem}
 				} else if b.arr != nil {
-					in.Watched[name] = Addr{Obj: b.arr.id, Elem: WholeArrayElem}
+					lt.Watched[name] = Addr{Obj: b.arr.id, Elem: WholeArrayElem}
 				}
 			}
 		}
 	}
-	if isTraced && len(in.CaptureNames) > 0 {
+	if lt != nil && len(lt.CaptureNames) > 0 {
 		// Snapshot on every exit path — normal termination, break, return,
 		// even an error — so the validator always sees the final state the
 		// loop left behind.
-		defer in.captureNow(inner)
+		defer lt.captureNow(inner)
 	}
-	if isTraced && in.ReverseOrder {
-		return in.execForReversed(inner, f, st)
+	if lt != nil && lt.Reverse {
+		return in.execForReversed(lt, inner, f, st)
 	}
 	iterCount := 0
 	for {
@@ -509,16 +616,12 @@ func (in *Interp) execFor(sc *scope, f *cast.For, st *execState) error {
 				break
 			}
 		}
-		if isTraced {
-			if in.IterCap > 0 && iterCount >= in.IterCap {
-				break
-			}
-			in.inLoop = true
-			in.iter = iterCount
+		if lt != nil {
+			in.enterBody(lt, iterCount)
 		}
 		err := in.execStmt(inner, f.Body, st)
-		if isTraced {
-			in.inLoop = false
+		if lt != nil {
+			in.leaveBody(lt)
 		}
 		if err != nil {
 			return err
@@ -534,13 +637,13 @@ func (in *Interp) execFor(sc *scope, f *cast.For, st *execState) error {
 			return nil
 		}
 		if f.Post != nil {
-			if isTraced {
+			if lt != nil {
 				// the post expression belongs to the closing iteration
-				in.inLoop = true
+				in.enterBody(lt, lt.iter)
 			}
 			_, err := in.eval(inner, f.Post)
-			if isTraced {
-				in.inLoop = false
+			if lt != nil {
+				in.leaveBody(lt)
 			}
 			if err != nil {
 				return err

@@ -291,7 +291,7 @@ func TestTracingIterationsAndAddresses(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := New(f)
-	in.TraceLoop = findLoop(t, f, 1) // the summing loop
+	lt := in.TraceLoop(findLoop(t, f, 1)) // the summing loop
 
 	type rec struct {
 		addr  Addr
@@ -299,7 +299,7 @@ func TestTracingIterationsAndAddresses(t *testing.T) {
 		iter  int
 	}
 	var trace []rec
-	in.Trace = func(a Addr, w bool, it int) { trace = append(trace, rec{a, w, it}) }
+	lt.Trace = func(a Addr, w bool, it int) { trace = append(trace, rec{a, w, it}) }
 	if _, err := in.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -337,34 +337,6 @@ func TestTracingIterationsAndAddresses(t *testing.T) {
 		if r.iter > 7 {
 			t.Errorf("stray iteration %d", r.iter)
 		}
-	}
-}
-
-func TestIterCapSampling(t *testing.T) {
-	src := `int main() {
-        int s = 0;
-        for (int i = 0; i < 1000; i++) s += i;
-        return s;
-    }`
-	f, err := cparse.ParseFile(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := New(f)
-	in.TraceLoop = findLoop(t, f, 0)
-	in.IterCap = 10
-	seen := 0
-	in.Trace = func(a Addr, w bool, it int) {
-		if it >= 10 {
-			t.Errorf("iteration %d beyond cap", it)
-		}
-		seen++
-	}
-	if _, err := in.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if seen == 0 {
-		t.Error("no samples collected")
 	}
 }
 

@@ -2,18 +2,18 @@ package cinterp
 
 import "graph2par/internal/cast"
 
-// Capture is the final value of one captured variable at instrumented-loop
-// exit: a scalar's value, or a dense copy of an array's elements.
+// Capture is the final value of one captured variable at traced-loop
+// exit: a scalar's value, or a dense copy of all of an array's elements.
 type Capture struct {
 	Scalar *Value
 	Array  []Value
 }
 
-// captureNow snapshots every CaptureNames binding visible at the
-// instrumented loop's scope into Captured.
-func (in *Interp) captureNow(sc *scope) {
-	in.Captured = map[string]Capture{}
-	for _, name := range in.CaptureNames {
+// captureNow snapshots every CaptureNames binding visible at the traced
+// loop's scope into Captured.
+func (lt *LoopTrace) captureNow(sc *scope) {
+	lt.Captured = map[string]Capture{}
+	for _, name := range lt.CaptureNames {
 		b, ok := sc.lookup(name)
 		if !ok {
 			continue
@@ -21,25 +21,25 @@ func (in *Interp) captureNow(sc *scope) {
 		switch {
 		case b.cell != nil:
 			v := b.cell.val
-			in.Captured[name] = Capture{Scalar: &v}
+			lt.Captured[name] = Capture{Scalar: &v}
 		case b.arr != nil:
-			in.Captured[name] = Capture{Array: append([]Value(nil), b.arr.data...)}
+			lt.Captured[name] = Capture{Array: b.arr.values()}
 		}
 	}
 }
 
-// execForReversed runs the instrumented loop back to front. Phase one
+// execForReversed runs the traced loop back to front. Phase one
 // simulates the induction-variable sequence by evaluating only the
 // condition and post expression — for the canonical loops the rewriter
 // feeds it, those touch nothing but the induction variable. Phase two
 // replays the recorded values last to first, executing the body once per
 // value. Early exits (break, return) cannot be replayed out of order and
 // surface as ErrUnsupported; continue only ends the current iteration.
-func (in *Interp) execForReversed(inner *scope, f *cast.For, st *execState) error {
+func (in *Interp) execForReversed(lt *LoopTrace, inner *scope, f *cast.For, st *execState) error {
 	if f.Cond == nil || f.Post == nil {
 		return &ErrUnsupported{What: "reversed execution needs a loop condition and post expression"}
 	}
-	b, ok := inner.lookup(in.ReverseIndVar)
+	b, ok := inner.lookup(lt.ReverseIndVar)
 	if !ok || b.cell == nil {
 		return &ErrUnsupported{What: "reversed execution needs a scalar induction variable"}
 	}
@@ -55,9 +55,6 @@ func (in *Interp) execForReversed(inner *scope, f *cast.For, st *execState) erro
 		if !c.Truthy() {
 			break
 		}
-		if in.IterCap > 0 && len(ivs) >= in.IterCap {
-			break
-		}
 		ivs = append(ivs, b.cell.val)
 		if _, err := in.eval(inner, f.Post); err != nil {
 			return err
@@ -69,10 +66,9 @@ func (in *Interp) execForReversed(inner *scope, f *cast.For, st *execState) erro
 			return err
 		}
 		b.cell.val = ivs[k]
-		in.inLoop = true
-		in.iter = k
+		in.enterBody(lt, k)
 		err := in.execStmt(inner, f.Body, st)
-		in.inLoop = false
+		in.leaveBody(lt)
 		if err != nil {
 			return err
 		}

@@ -8,9 +8,9 @@ import (
 	"graph2par/internal/cparse"
 )
 
-// prepTraced parses src and returns an interpreter instrumenting the
-// idx-th for loop of the file (walk order).
-func prepTraced(t *testing.T, src string, idx int) *Interp {
+// prepTraced parses src and returns an interpreter tracing the idx-th for
+// loop of the file (walk order), with that loop's trace record.
+func prepTraced(t *testing.T, src string, idx int) (*Interp, *LoopTrace) {
 	t.Helper()
 	f, err := cparse.ParseFile(src)
 	if err != nil {
@@ -27,8 +27,7 @@ func prepTraced(t *testing.T, src string, idx int) *Interp {
 		t.Fatalf("file has %d for loops, want index %d", len(loops), idx)
 	}
 	in := New(f)
-	in.TraceLoop = loops[idx]
-	return in
+	return in, in.TraceLoop(loops[idx])
 }
 
 const sumSrc = `int main() {
@@ -42,8 +41,8 @@ const sumSrc = `int main() {
 }`
 
 func TestCaptureAtLoopExit(t *testing.T) {
-	in := prepTraced(t, sumSrc, 1)
-	in.CaptureNames = []string{"s", "a", "i", "missing"}
+	in, inT := prepTraced(t, sumSrc, 1)
+	inT.CaptureNames = []string{"s", "a", "i", "missing"}
 	v, err := in.Run()
 	if err != nil {
 		t.Fatalf("run: %v", err)
@@ -51,33 +50,33 @@ func TestCaptureAtLoopExit(t *testing.T) {
 	if v.AsInt() != 1 {
 		t.Fatalf("exit value %v, want 1", v)
 	}
-	s, ok := in.Captured["s"]
+	s, ok := inT.Captured["s"]
 	if !ok || s.Scalar == nil || s.Scalar.AsFloat() != 14.0 {
 		t.Errorf("captured s = %+v, want scalar 14.0", s)
 	}
-	a, ok := in.Captured["a"]
+	a, ok := inT.Captured["a"]
 	if !ok || len(a.Array) != 8 || a.Array[2].AsFloat() != 1.0 {
 		t.Errorf("captured a = %+v, want 8 elements with a[2]=1.0", a)
 	}
-	i, ok := in.Captured["i"]
+	i, ok := inT.Captured["i"]
 	if !ok || i.Scalar == nil || i.Scalar.AsInt() != 8 {
 		t.Errorf("captured i = %+v, want exit value 8", i)
 	}
-	if _, ok := in.Captured["missing"]; ok {
+	if _, ok := inT.Captured["missing"]; ok {
 		t.Error("unresolvable name should be absent from Captured")
 	}
 }
 
 func TestReversedReductionMatchesSerial(t *testing.T) {
-	ser := prepTraced(t, sumSrc, 1)
-	ser.CaptureNames = []string{"s"}
+	ser, serT := prepTraced(t, sumSrc, 1)
+	serT.CaptureNames = []string{"s"}
 	if _, err := ser.Run(); err != nil {
 		t.Fatalf("serial run: %v", err)
 	}
-	rev := prepTraced(t, sumSrc, 1)
-	rev.CaptureNames = []string{"s", "i"}
-	rev.ReverseOrder = true
-	rev.ReverseIndVar = "i"
+	rev, revT := prepTraced(t, sumSrc, 1)
+	revT.CaptureNames = []string{"s", "i"}
+	revT.Reverse = true
+	revT.ReverseIndVar = "i"
 	v, err := rev.Run()
 	if err != nil {
 		t.Fatalf("reversed run: %v", err)
@@ -85,12 +84,12 @@ func TestReversedReductionMatchesSerial(t *testing.T) {
 	if v.AsInt() != 1 {
 		t.Fatalf("reversed exit value %v, want 1 (s and i must be restored)", v)
 	}
-	got := rev.Captured["s"].Scalar.AsFloat()
-	want := ser.Captured["s"].Scalar.AsFloat()
+	got := revT.Captured["s"].Scalar.AsFloat()
+	want := serT.Captured["s"].Scalar.AsFloat()
 	if got != want {
 		t.Errorf("reversed sum %v != serial sum %v", got, want)
 	}
-	if iv := rev.Captured["i"].Scalar.AsInt(); iv != 8 {
+	if iv := revT.Captured["i"].Scalar.AsInt(); iv != 8 {
 		t.Errorf("induction variable not restored to exit value: %d", iv)
 	}
 }
@@ -103,19 +102,19 @@ func TestReversedExposesRecurrence(t *testing.T) {
         for (i = 1; i < 6; i++) { a[i] = a[i-1] + a[i]; }
         return a[5];
     }`
-	ser := prepTraced(t, src, 1)
-	ser.CaptureNames = []string{"a"}
+	ser, serT := prepTraced(t, src, 1)
+	serT.CaptureNames = []string{"a"}
 	if _, err := ser.Run(); err != nil {
 		t.Fatalf("serial run: %v", err)
 	}
-	rev := prepTraced(t, src, 1)
-	rev.CaptureNames = []string{"a"}
-	rev.ReverseOrder = true
-	rev.ReverseIndVar = "i"
+	rev, revT := prepTraced(t, src, 1)
+	revT.CaptureNames = []string{"a"}
+	revT.Reverse = true
+	revT.ReverseIndVar = "i"
 	if _, err := rev.Run(); err != nil {
 		t.Fatalf("reversed run: %v", err)
 	}
-	serA, revA := ser.Captured["a"].Array, rev.Captured["a"].Array
+	serA, revA := serT.Captured["a"].Array, revT.Captured["a"].Array
 	if serA[5].AsInt() == revA[5].AsInt() {
 		t.Errorf("a recurrence must diverge under reversed order: serial %d, reversed %d",
 			serA[5].AsInt(), revA[5].AsInt())
@@ -135,28 +134,13 @@ func TestReversedBreakUnsupported(t *testing.T) {
         for (i = 0; i < 8; i++) { if (i == 3) break; n = n + 1; }
         return n;
     }`
-	rev := prepTraced(t, src, 0)
-	rev.ReverseOrder = true
-	rev.ReverseIndVar = "i"
+	rev, revT := prepTraced(t, src, 0)
+	revT.Reverse = true
+	revT.ReverseIndVar = "i"
 	_, err := rev.Run()
 	var unsup *ErrUnsupported
 	if !errors.As(err, &unsup) {
 		t.Fatalf("want ErrUnsupported for break under reversed order, got %v", err)
-	}
-}
-
-func TestReversedHonorsIterCap(t *testing.T) {
-	in := prepTraced(t, sumSrc, 1)
-	in.ReverseOrder = true
-	in.ReverseIndVar = "i"
-	in.IterCap = 3
-	in.CaptureNames = []string{"s"}
-	if _, err := in.Run(); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	// Only iterations 0..2 replay: s = a[0]+a[1]+a[2] = 0 + 0.5 + 1.0.
-	if got := in.Captured["s"].Scalar.AsFloat(); got != 1.5 {
-		t.Errorf("capped reversed sum = %v, want 1.5", got)
 	}
 }
 
@@ -167,12 +151,12 @@ func TestCaptureSurvivesBreak(t *testing.T) {
         for (i = 0; i < 8; i++) { if (i == 3) break; n = n + 1; }
         return n;
     }`
-	in := prepTraced(t, src, 0)
-	in.CaptureNames = []string{"n"}
+	in, inT := prepTraced(t, src, 0)
+	inT.CaptureNames = []string{"n"}
 	if _, err := in.Run(); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	if got := in.Captured["n"].Scalar.AsInt(); got != 3 {
+	if got := inT.Captured["n"].Scalar.AsInt(); got != 3 {
 		t.Errorf("captured n = %d, want 3", got)
 	}
 }

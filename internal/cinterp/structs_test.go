@@ -76,9 +76,9 @@ int main() {
 		t.Fatal(err)
 	}
 	in := New(f)
-	in.TraceLoop = findLoop(t, f, 1)
+	lt := in.TraceLoop(findLoop(t, f, 1))
 	addrs := map[Addr]bool{}
-	in.Trace = func(a Addr, w bool, iter int) {
+	lt.Trace = func(a Addr, w bool, iter int) {
 		if w {
 			addrs[a] = true
 		}

@@ -180,7 +180,7 @@ func traceDeps(t *testing.T, s *Sample, loop *cast.For) (bool, bool) {
 	t.Helper()
 	in := cinterp.New(s.File)
 	in.MaxSteps = 3_000_000
-	in.TraceLoop = loop
+	lt := in.TraceLoop(loop)
 
 	// Resolve pragma-declared reduction/private vars plus the iv.
 	var watch []string
@@ -193,21 +193,21 @@ func traceDeps(t *testing.T, s *Sample, loop *cast.For) (bool, bool) {
 	if iv != "" {
 		watch = append(watch, iv)
 	}
-	in.WatchNames = watch
+	lt.WatchNames = watch
 
 	type rec struct {
 		iter  int
 		write bool
 	}
 	trace := map[cinterp.Addr][]rec{}
-	in.Trace = func(a cinterp.Addr, w bool, iter int) {
+	lt.Trace = func(a cinterp.Addr, w bool, iter int) {
 		trace[a] = append(trace[a], rec{iter, w})
 	}
 	if _, err := in.Run(); err != nil {
 		return false, false
 	}
 	excluded := map[cinterp.Addr]bool{}
-	for _, a := range in.Watched {
+	for _, a := range lt.Watched {
 		excluded[a] = true
 	}
 	for addr, recs := range trace {

@@ -84,12 +84,12 @@ func validateDynamic(file *cast.File, fn *cast.FuncDecl, loop *cast.For, cp clau
 	// Serial probe with the race oracle attached.
 	ser := cinterp.New(hfile)
 	ser.MaxSteps = validateSteps
-	ser.TraceLoop = hloop
-	ser.WatchNames = watch
-	ser.CaptureNames = compare
+	serLoop := ser.TraceLoop(hloop)
+	serLoop.WatchNames = watch
+	serLoop.CaptureNames = compare
 	agg := map[cinterp.Addr]*aggInfo{}
 	maxIter := -1
-	ser.Trace = func(addr cinterp.Addr, write bool, iter int) {
+	serLoop.Trace = func(addr cinterp.Addr, write bool, iter int) {
 		a := agg[addr]
 		if a == nil {
 			a = &aggInfo{lastIter: iter, curIter: -1}
@@ -120,24 +120,24 @@ func validateDynamic(file *cast.File, fn *cast.FuncDecl, loop *cast.For, cp clau
 	if maxIter < 1 {
 		return skipped("loop executed fewer than 2 iterations")
 	}
-	if out := raceOracle(ser, agg, watch, cp, privSet, firstSet, atomicSet, redSet); out.status != "checked" {
+	if out := raceOracle(serLoop.Watched, agg, watch, cp, privSet, firstSet, atomicSet, redSet); out.status != "checked" {
 		return out
 	}
 
 	// Reversed probe: same harness AST, fresh state, opposite order.
 	rev := cinterp.New(hfile)
 	rev.MaxSteps = validateSteps
-	rev.TraceLoop = hloop
-	rev.ReverseOrder = true
-	rev.ReverseIndVar = cp.iv
-	rev.CaptureNames = compare
+	revLoop := rev.TraceLoop(hloop)
+	revLoop.Reverse = true
+	revLoop.ReverseIndVar = cp.iv
+	revLoop.CaptureNames = compare
 	if _, err := rev.Run(); err != nil {
 		return skipped("reversed probe: %v", err)
 	}
 
 	for _, name := range compare {
-		a, aok := ser.Captured[name]
-		b, bok := rev.Captured[name]
+		a, aok := serLoop.Captured[name]
+		b, bok := revLoop.Captured[name]
 		if !aok || !bok {
 			continue // unresolvable at loop scope in both runs alike
 		}
@@ -161,13 +161,13 @@ type aggInfo struct {
 
 // raceOracle folds the aggregated trace into a verdict: any address
 // written and touched across iterations is a dependence unless exempt.
-func raceOracle(ser *cinterp.Interp, agg map[cinterp.Addr]*aggInfo, watch []string,
+func raceOracle(watched map[string]cinterp.Addr, agg map[cinterp.Addr]*aggInfo, watch []string,
 	cp clausePlan, privSet, firstSet, atomicSet, redSet map[string]bool) dynOutcome {
 	exemptObj := map[int]bool{}
 	redAddr := map[cinterp.Addr]string{}
 	objName := map[int]string{}
 	for _, name := range watch {
-		addr, ok := ser.Watched[name]
+		addr, ok := watched[name]
 		if !ok {
 			continue
 		}

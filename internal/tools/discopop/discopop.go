@@ -6,7 +6,9 @@
 //
 //   - needs to EXECUTE the program: only loops inside complete runnable
 //     translation units are processable, under a step budget that stands in
-//     for profiling cost (the paper reports 3.7% coverage on OMP_Serial);
+//     for profiling cost (the paper reports 3.7% coverage on OMP_Serial).
+//     Like the real tool's single instrumented execution, one run of main
+//     profiles every for loop of the translation unit (AnalyzeFile);
 //   - calls to external (non-instrumented) functions — including libm —
 //     are opaque and force a conservative "not parallel" (Listing 1);
 //     calls to functions defined in the same file are instrumented through
@@ -35,13 +37,11 @@ import (
 
 // DiscoPoP is the dynamic analyzer.
 type DiscoPoP struct {
-	// MaxSteps is the interpreter step budget per sample (profiling cost
-	// stand-in). Default 2,000,000.
+	// MaxSteps is the interpreter step budget per profiling run (profiling
+	// cost stand-in). Default 2,000,000. The loop is executed fully —
+	// profiling cost is part of the tool's real profile, so long-running
+	// programs genuinely blow the step budget.
 	MaxSteps int
-	// IterCap caps traced iterations (sampling). 0 (the default) executes
-	// the loop fully — profiling cost is part of the tool's real profile,
-	// so long-running programs genuinely blow the step budget.
-	IterCap int
 }
 
 // New returns the tool with default budgets.
@@ -72,7 +72,7 @@ type addrAgg struct {
 }
 
 // aggState is the pooled per-run aggregation state: the address map plus a
-// chunked slab the addrAgg entries come from, so an Analyze run allocates
+// chunked slab the addrAgg entries come from, so a traced loop allocates
 // nothing per address in steady state and the hot trace callback pays one
 // map read per access (pointer entries mutate in place — no write-back).
 // Slab chunks are stable (never reallocated), so the map's pointers stay
@@ -90,118 +90,187 @@ func (st *aggState) reset() {
 	st.aggs.Reset()
 }
 
-// aggPool recycles aggregation state across Analyze calls (and across the
-// engine's worker goroutines).
+// aggPool recycles aggregation state across runs (and across the engine's
+// worker goroutines); a run checks out one state per traced loop.
 var aggPool = sync.Pool{New: func() any {
 	return &aggState{m: map[cinterp.Addr]*addrAgg{}}
 }}
 
-// Analyze implements tools.Tool.
+// Analyze implements tools.Tool: the one-loop case of AnalyzeFile.
 func (d *DiscoPoP) Analyze(s tools.Sample) tools.Verdict {
-	v := tools.Verdict{Reductions: map[string]string{}}
 	if !s.Runnable || s.File == nil {
-		v.Reason = "DiscoPoP: requires a runnable program for profiling"
-		return v
+		return reject(notRunnable)
 	}
-	loop, ok := s.Loop.(*cast.For)
-	if !ok {
-		v.Reason = "DiscoPoP: loop-level analysis targets for-loops"
-		return v
+	return d.AnalyzeFile(s.File, []cast.Stmt{s.Loop})[0]
+}
+
+// AnalyzeFile profiles the runnable program file with one execution of
+// main that traces every for loop in loops, and returns one verdict per
+// loop, in order. Each verdict equals Analyze on that loop alone: tracing
+// only observes the run, so the execution — and with it every step count,
+// object ID and error — does not depend on which loops are traced. A nil
+// file yields the not-runnable verdict for every loop.
+func (d *DiscoPoP) AnalyzeFile(file *cast.File, loops []cast.Stmt) []tools.Verdict {
+	out := make([]tools.Verdict, len(loops))
+	if file == nil {
+		for i := range out {
+			out[i] = reject(notRunnable)
+		}
+		return out
+	}
+	in := cinterp.New(file)
+	in.MaxSteps = d.MaxSteps
+	probes := make([]*probe, len(loops))
+	byLoop := map[*cast.For]*probe{}
+	for i, l := range loops {
+		loop, ok := l.(*cast.For)
+		if !ok {
+			out[i] = reject("DiscoPoP: loop-level analysis targets for-loops")
+			continue
+		}
+		if p := byLoop[loop]; p != nil {
+			probes[i] = p
+			continue
+		}
+		p := newProbe(in.TraceLoop(loop))
+		defer p.release()
+		byLoop[loop] = p
+		probes[i] = p
+	}
+	if len(byLoop) == 0 {
+		return out
 	}
 
 	// Identify defined functions to separate instrumented from opaque calls.
 	defined := map[string]bool{}
-	for _, fn := range s.File.Funcs {
+	for _, fn := range file.Funcs {
 		if fn.Body != nil {
 			defined[fn.Name] = true
 		}
 	}
+	_, runErr := in.Run()
+	for i, p := range probes {
+		switch {
+		case p == nil:
+		case runErr != nil:
+			out[i] = reject(fmt.Sprintf("DiscoPoP: program not profilable (%v)", runErr))
+		default:
+			out[i] = p.verdict(defined)
+		}
+	}
+	return out
+}
 
-	info := depend.ExtractLoop(loop)
+const notRunnable = "DiscoPoP: requires a runnable program for profiling"
+
+// reject is a verdict with no detection, explained by reason.
+func reject(reason string) tools.Verdict {
+	return tools.Verdict{Reductions: map[string]string{}, Reason: reason}
+}
+
+// probe is one traced loop's instrumentation: its reduction candidates and
+// the access aggregate its trace callback folds into.
+type probe struct {
+	lt     *cinterp.LoopTrace
+	info   depend.LoopInfo
+	redOps map[string]string
+	st     *aggState
+
+	maxIter int
+	// The watch addresses resolve when the traced loop is first entered —
+	// before the first Trace callback — so the callback resolves them
+	// lazily and skips both the loop-control address (discarded by the
+	// scan anyway) and per-iteration bookkeeping for non-candidates.
+	resolved   bool
+	traceIV    cinterp.Addr
+	traceHasIV bool
+	isRedAddr  map[cinterp.Addr]bool
+}
+
+func newProbe(lt *cinterp.LoopTrace) *probe {
+	p := &probe{
+		lt:        lt,
+		info:      depend.ExtractLoop(lt.Loop),
+		redOps:    map[string]string{},
+		st:        aggPool.Get().(*aggState),
+		maxIter:   -1,
+		isRedAddr: map[cinterp.Addr]bool{},
+	}
 	// Syntactic single-statement reduction candidates (DiscoPoP's pattern
 	// matcher); multi-statement updates are deliberately not candidates.
-	redOps := map[string]string{}
-	for _, r := range depend.FindReductions(loop.Body, map[string]bool{info.IndVar: true}) {
+	for _, r := range depend.FindReductions(lt.Loop.Body, map[string]bool{p.info.IndVar: true}) {
 		if !r.MultiStatement {
-			redOps[r.Var] = r.Op
+			p.redOps[r.Var] = r.Op
 		}
 	}
 	watch := []string{}
-	if info.IndVar != "" {
-		watch = append(watch, info.IndVar)
+	if p.info.IndVar != "" {
+		watch = append(watch, p.info.IndVar)
 	}
-	for name := range redOps {
+	for name := range p.redOps {
 		watch = append(watch, name)
 	}
 	sort.Strings(watch)
+	lt.WatchNames = watch
+	lt.Trace = p.trace
+	return p
+}
 
-	in := cinterp.New(s.File)
-	in.MaxSteps = d.MaxSteps
-	in.IterCap = d.IterCap
-	in.TraceLoop = loop
-	in.WatchNames = watch
+func (p *probe) release() {
+	p.st.reset()
+	aggPool.Put(p.st)
+	p.st = nil
+}
 
-	st := aggPool.Get().(*aggState)
-	agg := st.m
-	defer func() {
-		st.reset()
-		aggPool.Put(st)
-	}()
-	maxIter := -1
-	// The watch addresses resolve when the traced loop is first entered —
-	// before the first Trace callback — so the callback can resolve them
-	// lazily and skip both the loop-control address (discarded by the scan
-	// anyway) and per-iteration bookkeeping for non-candidates.
-	resolved := false
-	var traceIV cinterp.Addr
-	traceHasIV := false
-	isRedAddr := map[cinterp.Addr]bool{}
-	in.Trace = func(a cinterp.Addr, w bool, iter int) {
-		if !resolved {
-			resolved = true
-			if info.IndVar != "" {
-				traceIV, traceHasIV = in.Watched[info.IndVar]
-			}
-			for name := range redOps {
-				if ad, ok := in.Watched[name]; ok {
-					isRedAddr[ad] = true
-				}
+// trace folds one access into the aggregate.
+func (p *probe) trace(a cinterp.Addr, w bool, iter int) {
+	if !p.resolved {
+		p.resolved = true
+		if p.info.IndVar != "" {
+			p.traceIV, p.traceHasIV = p.lt.Watched[p.info.IndVar]
+		}
+		for name := range p.redOps {
+			if ad, ok := p.lt.Watched[name]; ok {
+				p.isRedAddr[ad] = true
 			}
 		}
-		if iter > maxIter {
-			maxIter = iter
+	}
+	if iter > p.maxIter {
+		p.maxIter = iter
+	}
+	if p.traceHasIV && a == p.traceIV {
+		return // loop control, skipped by the dependence scan
+	}
+	agg := p.st.m
+	g := agg[a]
+	if g == nil {
+		g = p.st.alloc()
+		*g = addrAgg{firstIter: iter}
+		if p.isRedAddr[a] {
+			g.iterWrites = map[int]int{}
 		}
-		if traceHasIV && a == traceIV {
-			return // loop control, skipped by the dependence scan
-		}
-		g := agg[a]
-		if g == nil {
-			g = st.alloc()
-			*g = addrAgg{firstIter: iter}
-			if isRedAddr[a] {
-				g.iterWrites = map[int]int{}
-			}
-			agg[a] = g
-		}
-		if iter != g.firstIter {
-			g.multiIter = true
-		}
+		agg[a] = g
+	}
+	if iter != g.firstIter {
+		g.multiIter = true
+	}
+	if w {
+		g.anyWrite = true
+	}
+	if g.iterWrites != nil {
 		if w {
-			g.anyWrite = true
-		}
-		if g.iterWrites != nil {
-			if w {
-				g.iterWrites[iter]++
-			} else if _, ok := g.iterWrites[iter]; !ok {
-				g.iterWrites[iter] = 0
-			}
+			g.iterWrites[iter]++
+		} else if _, ok := g.iterWrites[iter]; !ok {
+			g.iterWrites[iter] = 0
 		}
 	}
-	if _, err := in.Run(); err != nil {
-		v.Reason = fmt.Sprintf("DiscoPoP: program not profilable (%v)", err)
-		return v
-	}
-	if maxIter < 1 {
+}
+
+// verdict scans the aggregated trace of a completed run.
+func (p *probe) verdict(defined map[string]bool) tools.Verdict {
+	loop, agg := p.lt.Loop, p.st.m
+	v := tools.Verdict{Reductions: map[string]string{}}
+	if p.maxIter < 1 {
 		v.Reason = "DiscoPoP: instrumented loop executed fewer than 2 iterations"
 		return v
 	}
@@ -223,8 +292,8 @@ func (d *DiscoPoP) Analyze(s tools.Sample) tools.Verdict {
 	}
 
 	redAddr := map[cinterp.Addr]string{}
-	for name := range redOps {
-		if a, ok := in.Watched[name]; ok {
+	for name := range p.redOps {
+		if a, ok := p.lt.Watched[name]; ok {
 			redAddr[a] = name
 		}
 	}
@@ -262,7 +331,7 @@ func (d *DiscoPoP) Analyze(s tools.Sample) tools.Verdict {
 				}
 			}
 			if oncePerIter {
-				confirmedReds[name] = redOps[name]
+				confirmedReds[name] = p.redOps[name]
 				continue
 			}
 			v.Reason = fmt.Sprintf("DiscoPoP: reduction candidate %q updated multiple times per iteration", name)
